@@ -131,9 +131,10 @@ void BM_SdofBatchBlock(benchmark::State& state) {
 }
 
 // Reduced RotD workload shared by the sweep/reference pair: the full
-// paper grid x 180 angles costs seconds per iteration, far too slow to
-// gate. 120 cells x 16 angles keeps the shape (rotate + batched
-// Nigam-Jennings per angle, percentile combine) at CI-friendly cost.
+// paper grid x 180 angles costs the scalar reference minutes per
+// iteration, far too slow to gate. 120 cells x 16 angles keeps the shape (paired superposed
+// recurrence, pruned peak search, percentile combine) at CI-friendly
+// cost.
 acx::spectrum::ResponseGrid rotd_bench_grid() {
   acx::spectrum::ResponseGrid grid;
   for (int i = 0; i < 60; ++i) {
@@ -156,7 +157,7 @@ std::vector<double> rotd_bench_component(std::size_t n, double phase) {
 }
 
 void BM_RotdSweep(benchmark::State& state) {
-  // The batched angle sweep over a cached plan — the station stage's
+  // The superposed sweep over a cached plan — the station stage's
   // kernel, at the reduced workload.
   const auto l = rotd_bench_component(static_cast<std::size_t>(state.range(0)),
                                       0.0);

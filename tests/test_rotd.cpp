@@ -1,9 +1,11 @@
-// The RotD angle-sweep kernel (src/spectrum/rotd.cpp): the batched
-// sweep must match the scalar per-(angle, cell) reference to 1e-9
-// relative, stay bit-identical across OpenMP team sizes, respect the
-// RotD00 <= RotD50 <= RotD100 ordering, be invariant under rotating
-// the input pair by a sweep step, and fail with typed errors on
-// malformed input.
+// The RotD sweep (src/spectrum/rotd.cpp): the superposed sweep must
+// match the scalar per-(angle, cell) reference to 1e-9 relative on
+// ordinary and adversarial inputs, its pruned peak search must equal
+// the unpruned all-angle update bit for bit, it must stay
+// bit-identical across OpenMP team sizes, respect the RotD00 <= RotD50
+// <= RotD100 ordering, be invariant under rotating the input pair by a
+// sweep step, and fail with typed errors on malformed input and on a
+// finite input that overflows inside the kernel.
 
 #include <gtest/gtest.h>
 
@@ -42,28 +44,129 @@ ResponseGrid small_grid() {
   return grid;
 }
 
+// The 1e-9 relative contract of rotd_spectrum against the reference.
+void expect_matches_reference(const std::vector<double>& l,
+                              const std::vector<double>& t,
+                              const ResponseGrid& grid, int angles,
+                              const char* what) {
+  auto fast = rotd_spectrum(l, t, kDt, grid, angles);
+  auto slow = rotd_spectrum_reference(l, t, kDt, grid, angles);
+  ASSERT_TRUE(fast.ok()) << what << ": " << fast.error().to_string();
+  ASSERT_TRUE(slow.ok()) << what << ": " << slow.error().to_string();
+
+  const std::size_t cells = grid.periods.size() * grid.dampings.size();
+  ASSERT_EQ(fast.value().rotd50.size(), cells) << what;
+  const RotdSpectrum& f = fast.value();
+  const RotdSpectrum& r = slow.value();
+  for (std::size_t i = 0; i < cells; ++i) {
+    EXPECT_NEAR(f.rotd00[i], r.rotd00[i], 1e-9 * std::fabs(r.rotd00[i]))
+        << what << " angles " << angles << " cell " << i;
+    EXPECT_NEAR(f.rotd50[i], r.rotd50[i], 1e-9 * std::fabs(r.rotd50[i]))
+        << what << " angles " << angles << " cell " << i;
+    EXPECT_NEAR(f.rotd100[i], r.rotd100[i], 1e-9 * std::fabs(r.rotd100[i]))
+        << what << " angles " << angles << " cell " << i;
+    EXPECT_NEAR(f.geomean[i], r.geomean[i], 1e-9 * std::fabs(r.geomean[i]))
+        << what << " angles " << angles << " cell " << i;
+  }
+}
+
+struct NamedPair {
+  const char* name;
+  std::vector<double> l, t;
+};
+
+// Inputs that stress the superposition and the pruning bounds: every
+// linear polarisation puts the trajectory on one line (a peak near 0
+// at the perpendicular angle), the circular pair makes every angle's
+// peak nearly equal, a single spike leaves free ringing only, and the
+// all-zero pair never leaves the origin.
+std::vector<NamedPair> adversarial_pairs(std::size_t n) {
+  const auto l = make_component(21, n);
+  std::vector<NamedPair> pairs;
+  std::vector<double> neg(n), zero(n, 0.0), cosine(n), sine(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    neg[i] = -l[i];
+    const double time = static_cast<double>(i) * kDt;
+    const double envelope = 80.0 * time * std::exp(-2.0 * time);
+    cosine[i] = envelope * std::cos(2.0 * 3.14159265358979323846 * 3.0 * time);
+    sine[i] = envelope * std::sin(2.0 * 3.14159265358979323846 * 3.0 * time);
+  }
+  std::vector<double> spike_l(n, 0.0), spike_t(n, 0.0);
+  spike_l[n / 7] = 250.0;
+  spike_t[n / 7] = -90.0;
+  pairs.push_back({"t = l", l, l});
+  pairs.push_back({"t = -l", l, neg});
+  pairs.push_back({"t = 0", l, zero});
+  pairs.push_back({"circular", cosine, sine});
+  pairs.push_back({"single spike", spike_l, spike_t});
+  pairs.push_back({"all zero", zero, zero});
+  return pairs;
+}
+
 TEST(Rotd, BatchedSweepMatchesTheScalarReference) {
   const auto l = make_component(1, 400);
   const auto t = make_component(2, 400);
-  const ResponseGrid grid = small_grid();
+  expect_matches_reference(l, t, small_grid(), /*angles=*/16, "noise pair");
+}
 
-  auto fast = rotd_spectrum(l, t, kDt, grid, /*angles=*/16);
-  auto slow = rotd_spectrum_reference(l, t, kDt, grid, /*angles=*/16);
-  ASSERT_TRUE(fast.ok()) << fast.error().to_string();
-  ASSERT_TRUE(slow.ok()) << slow.error().to_string();
+TEST(Rotd, AdversarialInputsMatchTheReferenceAtOddAngleCounts) {
+  // 1, 2, 7 and 181 are not multiples of the sector count, so sectors
+  // of one angle and of uneven widths are all exercised.
+  ResponseGrid grid;
+  grid.periods = {0.05, 0.3, 1.5};
+  grid.dampings = {0.05};
+  for (const NamedPair& pair : adversarial_pairs(300)) {
+    for (int angles : {1, 2, 7, 181}) {
+      expect_matches_reference(pair.l, pair.t, grid, angles, pair.name);
+    }
+  }
+}
 
-  const std::size_t cells = grid.periods.size() * grid.dampings.size();
-  ASSERT_EQ(fast.value().rotd50.size(), cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    const double tol00 = 1e-9 * std::fabs(slow.value().rotd00[i]);
-    const double tol50 = 1e-9 * std::fabs(slow.value().rotd50[i]);
-    const double tol100 = 1e-9 * std::fabs(slow.value().rotd100[i]);
-    EXPECT_NEAR(fast.value().rotd00[i], slow.value().rotd00[i], tol00) << i;
-    EXPECT_NEAR(fast.value().rotd50[i], slow.value().rotd50[i], tol50) << i;
-    EXPECT_NEAR(fast.value().rotd100[i], slow.value().rotd100[i], tol100) << i;
-    EXPECT_NEAR(fast.value().geomean[i], slow.value().geomean[i],
-                1e-9 * std::fabs(slow.value().geomean[i]))
-        << i;
+TEST(Rotd, PaperDampingsIncludingUndampedMatchTheReferenceAt180Angles) {
+  ResponseGrid grid;
+  grid.periods = {0.04, 0.25, 1.0, 4.0};
+  grid.dampings = paper_grid().dampings;  // 0, 2, 5, 10, 20 %
+  ASSERT_EQ(grid.dampings.front(), 0.0);
+  const auto l = make_component(31, 300);
+  const auto t = make_component(32, 300);
+  expect_matches_reference(l, t, grid, kRotdDefaultAngles, "paper dampings");
+}
+
+TEST(Rotd, PrunedPeakSearchEqualsTheUnprunedUpdateBitForBit) {
+  ResponseGrid grid;
+  grid.periods = {0.05, 0.2, 0.7, 2.0, 6.0};
+  grid.dampings = {0.0, 0.05};
+  std::vector<NamedPair> pairs = adversarial_pairs(500);
+  pairs.push_back({"noise pair", make_component(41, 500),
+                   make_component(42, 500)});
+  // Far outside the range where pruning compares squares: the search
+  // must fall back to updating every angle and still agree exactly.
+  for (double scale : {1e-120, 1e120}) {
+    std::vector<double> l = make_component(43, 500);
+    std::vector<double> t = make_component(44, 500);
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      l[i] *= scale;
+      t[i] *= scale;
+    }
+    pairs.push_back({scale < 1 ? "tiny pair" : "huge pair", l, t});
+  }
+  for (const NamedPair& pair : pairs) {
+    for (int angles : {1, 2, 7, 16, 17, 180, 181}) {
+      auto pruned = rotd_spectrum(pair.l, pair.t, kDt, grid, angles);
+      auto full = detail::rotd_spectrum_unpruned(pair.l, pair.t, kDt, grid,
+                                                 angles);
+      ASSERT_TRUE(pruned.ok()) << pair.name << ": "
+                               << pruned.error().to_string();
+      ASSERT_TRUE(full.ok()) << pair.name << ": " << full.error().to_string();
+      EXPECT_EQ(pruned.value().rotd00, full.value().rotd00)
+          << pair.name << " angles " << angles;
+      EXPECT_EQ(pruned.value().rotd50, full.value().rotd50)
+          << pair.name << " angles " << angles;
+      EXPECT_EQ(pruned.value().rotd100, full.value().rotd100)
+          << pair.name << " angles " << angles;
+      EXPECT_EQ(pruned.value().geomean, full.value().geomean)
+          << pair.name << " angles " << angles;
+    }
   }
 }
 
@@ -183,6 +286,26 @@ TEST(Rotd, MalformedInputsFailWithTypedErrors) {
   auto nan = rotd_spectrum(l, poisoned, kDt, grid);
   ASSERT_FALSE(nan.ok());
   EXPECT_EQ(nan.error().code, SpectrumError::Code::kNonFinite);
+
+  // Finite samples whose response overflows inside the kernel: the
+  // superposed sum cos·A_l + sin·A_t is inf, and the sweep must still
+  // report it rather than let a NaN lose its way out of the peaks.
+  const std::vector<double> huge(64, 1.5e308);
+  auto overflow = rotd_spectrum(huge, huge, kDt, grid);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.error().code, SpectrumError::Code::kNonFinite);
+  EXPECT_EQ(std::string("spectrum.") + slug(overflow.error().code),
+            "spectrum.non_finite");
+  // With t = -l the two responses overflow to +inf and -inf at the same
+  // sample, so at 1 or 2 angles every projection is NaN (0·inf,
+  // inf - inf) and no peak ever sees the overflow: only the kernel's
+  // own non-finite check on A_l and A_t can report it.
+  std::vector<double> negated(huge.size(), -1.5e308);
+  for (int angles : {1, 2}) {
+    auto opposed = rotd_spectrum(huge, negated, kDt, grid, angles);
+    ASSERT_FALSE(opposed.ok()) << angles;
+    EXPECT_EQ(opposed.error().code, SpectrumError::Code::kNonFinite) << angles;
+  }
 
   // The scalar reference enforces the same contract.
   auto ref = rotd_spectrum_reference(l, shorter, kDt, grid);

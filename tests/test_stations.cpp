@@ -121,6 +121,31 @@ TEST(Stations, ThreeComponentEventRollsUpWithPublishedRotd) {
   EXPECT_EQ(audit.stations_rotd_ok, 2);
 }
 
+TEST(Stations, RotdStageAttributesItsKernelTime) {
+  // The RotD kernel runs under perf::ScopedTimer like the record-stage
+  // kernels, so a triaxial station run reports nonzero rotd kernel
+  // time, never more than the stage's own wall clock.
+  test::TempDir tmp("stations");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  build_small_event(fs, input, 3);  // SS01{l,t,v}
+
+  auto run = run_pipeline(fs, input, tmp.path() / "work", test_config());
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const RunReport& report = run.value();
+  ASSERT_EQ(report.stations.size(), 1u);
+  ASSERT_EQ(report.stations.front().rotd_status, "ok");
+
+  const auto profile = report.stage_profile();
+  ASSERT_TRUE(profile.count("rotd"));
+  const double kernel = profile.at("rotd").kernel_seconds;
+  const double seconds = report.stage_totals().at("rotd");
+  EXPECT_GT(kernel, 0.0);
+  EXPECT_LE(kernel, seconds);
+  EXPECT_GE(profile.at("rotd").cache_hits + profile.at("rotd").cache_misses,
+            1);
+}
+
 TEST(Stations, MissingHorizontalSkipsRotdWithTypedReason) {
   test::TempDir tmp("stations");
   RealFileSystem fs;
